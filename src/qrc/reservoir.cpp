@@ -1,5 +1,6 @@
 #include "qrc/reservoir.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/require.h"
@@ -17,6 +18,13 @@ QuditSpace make_space(const ReservoirConfig& cfg) {
   return QuditSpace::uniform(static_cast<std::size_t>(cfg.modes), cfg.levels);
 }
 
+/// Detuning of mode `m`: the configured one, else the default ladder.
+double mode_omega(const ReservoirConfig& cfg, int m) {
+  return (static_cast<std::size_t>(m) < cfg.omegas.size())
+             ? cfg.omegas[static_cast<std::size_t>(m)]
+             : 0.5 * m;
+}
+
 LindbladSystem make_system(const ReservoirConfig& cfg,
                            const QuditSpace& space) {
   LindbladSystem sys(space);
@@ -24,10 +32,7 @@ LindbladSystem make_system(const ReservoirConfig& cfg,
   const int d = cfg.levels;
   const Matrix n_op = number_operator(d);
   for (int m = 0; m < cfg.modes; ++m) {
-    const double omega =
-        (static_cast<std::size_t>(m) < cfg.omegas.size())
-            ? cfg.omegas[static_cast<std::size_t>(m)]
-            : 0.5 * m;  // default detuning ladder
+    const double omega = mode_omega(cfg, m);
     if (omega != 0.0) h.add("n", n_op * cplx{omega, 0.0}, {m});
     if (cfg.kerr != 0.0) {
       // Self-Kerr chi/2 n(n-1): transmon-inherited anharmonicity.
@@ -40,7 +45,6 @@ LindbladSystem make_system(const ReservoirConfig& cfg,
   }
   // Chain of beamsplitter couplings between consecutive modes.
   const Matrix a = annihilation(d);
-  const Matrix id = Matrix::identity(static_cast<std::size_t>(d));
   Matrix hop = two_site(a.adjoint(), a);  // a_i^dag a_{i+1}
   hop += hop.adjoint();
   hop *= cplx{cfg.coupling, 0.0};
@@ -48,7 +52,6 @@ LindbladSystem make_system(const ReservoirConfig& cfg,
   sys.set_hamiltonian(h);
   for (int m = 0; m < cfg.modes; ++m)
     sys.add_collapse(annihilation(d), {m}, cfg.kappa);
-  (void)id;
   return sys;
 }
 
@@ -85,8 +88,11 @@ void OscillatorReservoir::step_state(DensityMatrix& rho, double u) const {
   // term dominates at high Fock levels, so derive a floor on the step
   // count from the spectral scale instead of trusting the configured one.
   const int d = cfg_.levels;
+  double omega_max = 0.0;
+  for (int m = 0; m < cfg_.modes; ++m)
+    omega_max = std::max(omega_max, std::abs(mode_omega(cfg_, m)));
   const double h_scale = 0.5 * std::abs(cfg_.kerr) * (d - 1.0) * (d - 2.0) +
-                         0.5 * (cfg_.modes - 1.0) * (d - 1.0) +
+                         omega_max * (d - 1.0) +
                          2.0 * std::abs(cfg_.coupling) * d + cfg_.kappa * d;
   const int min_steps =
       static_cast<int>(std::ceil(cfg_.tau * h_scale / 1.5)) + 1;

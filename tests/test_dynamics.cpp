@@ -222,5 +222,194 @@ TEST(Lindblad, EvolveRecordingShapes) {
   EXPECT_GT(rec[2][0], rec[3][0]);
 }
 
+// ---------------------------------------------------------------------------
+// Path-vs-path oracle: LindbladSystem against the master equation and RK4
+// written with dense Matrix products. The sparse operator products must
+// reproduce them bit for bit (docs/ARCHITECTURE.md "Dynamics layer"). All
+// inputs are closed-form, so no RNG change can move these tests.
+
+/// Dense reference integrator: the same expressions, term for term.
+struct DenseLindblad {
+  Matrix h;
+  std::vector<Matrix> l;    // scaled by sqrt(rate)
+  std::vector<Matrix> ldl;  // L^dag L
+
+  Matrix rhs(const Matrix& rho) const {
+    Matrix out = h * rho - rho * h;
+    out *= cplx{0.0, -1.0};
+    for (std::size_t k = 0; k < l.size(); ++k) {
+      out += l[k] * rho * l[k].adjoint();
+      Matrix anti = ldl[k] * rho + rho * ldl[k];
+      anti *= cplx{0.5, 0.0};
+      out -= anti;
+    }
+    return out;
+  }
+
+  void evolve(Matrix& rho, double t, int steps) const {
+    const double dt = t / steps;
+    for (int s = 0; s < steps; ++s) {
+      const Matrix k1 = rhs(rho);
+      Matrix tmp = rho;
+      tmp += k1 * cplx{dt / 2.0, 0.0};
+      const Matrix k2 = rhs(tmp);
+      tmp = rho;
+      tmp += k2 * cplx{dt / 2.0, 0.0};
+      const Matrix k3 = rhs(tmp);
+      tmp = rho;
+      tmp += k3 * cplx{dt, 0.0};
+      const Matrix k4 = rhs(tmp);
+      Matrix incr = k1;
+      incr += k2 * cplx{2.0, 0.0};
+      incr += k3 * cplx{2.0, 0.0};
+      incr += k4;
+      incr *= cplx{dt / 6.0, 0.0};
+      rho += incr;
+    }
+  }
+};
+
+/// A LindbladSystem and its dense reference, built from the same terms.
+struct OraclePair {
+  explicit OraclePair(const QuditSpace& space)
+      : sys(space),
+        ref{Matrix::zero(space.dimension(), space.dimension()), {}, {}} {}
+
+  void set_hamiltonian(const Hamiltonian& h) {
+    sys.set_hamiltonian(h);
+    ref.h = h.dense(sys.space().dimension());
+  }
+
+  void set_hamiltonian_dense(const Matrix& h) {
+    sys.set_hamiltonian_dense(h);
+    ref.h = h;
+  }
+
+  void add_collapse(const Matrix& op, const std::vector<int>& sites,
+                    double rate) {
+    sys.add_collapse(op, sites, rate);
+    Matrix full = embed(op, sites, sys.space());
+    full *= cplx{std::sqrt(rate), 0.0};
+    ref.ldl.push_back(full.adjoint() * full);
+    ref.l.push_back(std::move(full));
+  }
+
+  LindbladSystem sys;
+  DenseLindblad ref;
+};
+
+/// Closed-form n x n matrix with exact zeros (one of them -0) scattered
+/// through it, so the zero-skipping paths are exercised.
+Matrix pattern_matrix(std::size_t n) {
+  Matrix m(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      if ((r + 2 * c) % 5 != 0)
+        m(r, c) = cplx{std::cos(0.37 * r + 0.11 * c + 0.2),
+                       std::sin(0.23 * r - 0.41 * c)};
+  m(0, 1) = cplx{-0.0, 0.0};
+  return m;
+}
+
+/// Hermitian, positive, unit-trace state M M^dag / Tr(M M^dag).
+Matrix pattern_state(std::size_t n) {
+  const Matrix m = pattern_matrix(n);
+  Matrix rho = m * m.adjoint();
+  rho *= cplx{1.0 / rho.trace().real(), 0.0};
+  return rho;
+}
+
+void expect_identical(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t r = 0; r < got.rows(); ++r)
+    for (std::size_t c = 0; c < got.cols(); ++c) {
+      EXPECT_EQ(got(r, c).real(), want(r, c).real()) << r << "," << c;
+      EXPECT_EQ(got(r, c).imag(), want(r, c).imag()) << r << "," << c;
+    }
+}
+
+/// rhs() and a few RK4 steps of evolve() on a physical state and on a
+/// non-Hermitian one, which rhs must not treat as Hermitian.
+void expect_matches_reference(const OraclePair& p) {
+  const std::size_t n = p.sys.space().dimension();
+  for (const Matrix& rho0 : {pattern_state(n), pattern_matrix(n)}) {
+    expect_identical(p.sys.rhs(rho0), p.ref.rhs(rho0));
+    Matrix got = rho0;
+    Matrix want = rho0;
+    p.sys.evolve(got, 0.3, 3);
+    p.ref.evolve(want, 0.3, 3);
+    expect_identical(got, want);
+  }
+}
+
+/// The two-mode reservoir system of qrc/reservoir.cpp: detunings, Kerr,
+/// beamsplitter hop, photon loss on both modes.
+OraclePair reservoir_pair(int d) {
+  const QuditSpace space = QuditSpace::uniform(2, d);
+  OraclePair p(space);
+  Hamiltonian h(space);
+  for (int m = 0; m < 2; ++m) {
+    if (m != 0) h.add("n", number_operator(d) * cplx{0.5 * m, 0.0}, {m});
+    Matrix kerr(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
+    for (int k = 0; k < d; ++k)
+      kerr(static_cast<std::size_t>(k), static_cast<std::size_t>(k)) =
+          0.5 * 0.6 * k * (k - 1.0);
+    h.add("kerr", kerr, {m});
+  }
+  const Matrix a = annihilation(d);
+  Matrix hop = two_site(a.adjoint(), a);
+  hop += hop.adjoint();
+  h.add("g", hop, {0, 1});
+  p.set_hamiltonian(h);
+  for (int m = 0; m < 2; ++m) p.add_collapse(a, {m}, 0.35);
+  return p;
+}
+
+TEST(LindbladOracle, ReservoirSystemBitwise) {
+  expect_matches_reference(reservoir_pair(4));
+}
+
+TEST(LindbladOracle, DenseHamiltonianBitwise) {
+  const QuditSpace space({3, 3});
+  OraclePair p(space);
+  const Matrix m = pattern_matrix(space.dimension());
+  p.set_hamiltonian_dense(m + m.adjoint());
+  p.add_collapse(annihilation(3), {0}, 0.4);
+  expect_matches_reference(p);
+}
+
+TEST(LindbladOracle, NoHamiltonianBitwise) {
+  const QuditSpace space({4, 3});
+  OraclePair p(space);
+  p.add_collapse(annihilation(4), {0}, 0.7);
+  p.add_collapse(annihilation(3), {1}, 0.2);
+  expect_matches_reference(p);
+}
+
+TEST(LindbladOracle, ZeroRateCollapseBitwise) {
+  OraclePair p = reservoir_pair(3);
+  p.add_collapse(annihilation(3), {1}, 0.0);
+  expect_matches_reference(p);
+}
+
+TEST(LindbladOracle, EvolveRecordingBitwise) {
+  OraclePair p = reservoir_pair(3);
+  const std::size_t n = p.sys.space().dimension();
+  const std::vector<Matrix> obs = {embed(number_operator(3), {0}, p.sys.space()),
+                                   pattern_matrix(n)};
+  Matrix got = pattern_state(n);
+  Matrix want = got;
+  const auto rec = p.sys.evolve_recording(got, 0.4, 2, 2, obs);
+  ASSERT_EQ(rec.size(), 2u);
+  for (const auto& row : rec) {
+    p.ref.evolve(want, 0.2, 2);
+    ASSERT_EQ(row.size(), obs.size());
+    for (std::size_t i = 0; i < obs.size(); ++i)
+      EXPECT_EQ(row[i], (want * obs[i]).trace().real());
+  }
+  expect_identical(got, want);
+}
+
 }  // namespace
 }  // namespace qs

@@ -107,6 +107,45 @@ TEST(Reservoir, FadingMemory) {
   EXPECT_LT(diff, 0.02);
 }
 
+TEST(Reservoir, StepFloorCoversConfiguredOmegas) {
+  // The RK4 step floor must follow the configured detunings, not only the
+  // default ladder: large omegas with too few steps blow the state up.
+  ReservoirConfig cfg = small_reservoir();
+  cfg.levels = 6;
+  cfg.omegas = {8.0, 8.0};
+  OscillatorReservoir res(cfg);
+  for (int t = 0; t < 30; ++t) res.step(0.5 * std::sin(0.7 * t));
+  const auto f = res.features();
+  ASSERT_EQ(f.size(), 36u);  // every joint Fock state
+  double total = 0.0;
+  for (double p : f) {
+    EXPECT_GE(p, -1e-9);
+    EXPECT_LE(p, 1.0);
+    total += p;
+  }
+  EXPECT_NEAR(total, 1.0, 1e-6);
+}
+
+TEST(Reservoir, RunBatchMatchesRun) {
+  // One const LindbladSystem shared by the pool's threads gives each series
+  // exactly what a sequential run() gives it.
+  OscillatorReservoir res(small_reservoir());
+  std::vector<std::vector<double>> inputs(3);
+  for (std::size_t s = 0; s < inputs.size(); ++s)
+    for (int t = 0; t < 12; ++t)
+      inputs[s].push_back(std::sin(0.9 * t + static_cast<double>(s)));
+  const std::vector<RMatrix> batch = res.run_batch(inputs, 3);
+  ASSERT_EQ(batch.size(), inputs.size());
+  for (std::size_t s = 0; s < inputs.size(); ++s) {
+    const RMatrix seq = res.run(inputs[s]);
+    ASSERT_EQ(batch[s].rows(), seq.rows());
+    ASSERT_EQ(batch[s].cols(), seq.cols());
+    for (std::size_t r = 0; r < seq.rows(); ++r)
+      for (std::size_t c = 0; c < seq.cols(); ++c)
+        EXPECT_EQ(batch[s](r, c), seq(r, c));
+  }
+}
+
 TEST(Reservoir, SampledFeaturesConvergeWithShots) {
   Rng rng(95);
   OscillatorReservoir res(small_reservoir());

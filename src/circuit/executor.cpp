@@ -1,25 +1,10 @@
 #include "circuit/executor.h"
 
 #include "common/require.h"
-#include "exec/density_matrix_backend.h"
 #include "exec/state_vector_backend.h"
 #include "linalg/matrix.h"
 
 namespace qs {
-
-void run(const Circuit& circuit, StateVector& psi) {
-  StateVectorBackend::apply(circuit, psi);
-}
-
-StateVector run_from_vacuum(const Circuit& circuit) {
-  StateVector psi(circuit.space());
-  StateVectorBackend::apply(circuit, psi);
-  return psi;
-}
-
-void run(const Circuit& circuit, DensityMatrix& rho) {
-  DensityMatrixBackend::apply(circuit, rho);
-}
 
 Matrix circuit_unitary(const Circuit& circuit, std::size_t max_dim) {
   const std::size_t n = circuit.space().dimension();

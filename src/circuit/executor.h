@@ -1,38 +1,20 @@
-// Legacy free-function executors (deprecated shims).
+// Dense circuit synthesis.
 //
 // Circuit execution lives in the exec subsystem: qs::Backend and its
 // StateVectorBackend / DensityMatrixBackend / TrajectoryBackend
 // implementations, driven directly or through ExecutionSession (see
-// docs/ARCHITECTURE.md for the migration table). The free functions below
-// forward to the backends' stateful primitives and are kept for one
-// release; define QS_ENABLE_DEPRECATION_WARNINGS to have the compiler
-// flag remaining call sites.
+// docs/ARCHITECTURE.md). This header only builds a circuit's full-space
+// unitary from StateVectorBackend::apply.
 #ifndef QS_CIRCUIT_EXECUTOR_H
 #define QS_CIRCUIT_EXECUTOR_H
 
 #include "circuit/circuit.h"
-#include "common/deprecation.h"
-#include "qudit/density_matrix.h"
-#include "qudit/state_vector.h"
+#include "linalg/matrix.h"
 
 namespace qs {
 
-/// Applies every gate of `circuit` to `psi` in order.
-QS_DEPRECATED("use qs::StateVectorBackend::apply")
-void run(const Circuit& circuit, StateVector& psi);
-
-/// Convenience: runs on |0...0> and returns the final state.
-QS_DEPRECATED("use qs::StateVectorBackend (Backend::execute)")
-StateVector run_from_vacuum(const Circuit& circuit);
-
-/// Applies every gate of `circuit` to `rho` (unitary conjugation).
-QS_DEPRECATED("use qs::DensityMatrixBackend::apply")
-void run(const Circuit& circuit, DensityMatrix& rho);
-
 /// Builds the full-space unitary of a circuit (for small spaces only;
-/// dimension is validated against `max_dim` to catch accidents). Not an
-/// execution entry point -- this is a dense-synthesis utility and is not
-/// deprecated.
+/// dimension is validated against `max_dim` to catch accidents).
 Matrix circuit_unitary(const Circuit& circuit, std::size_t max_dim = 4096);
 
 }  // namespace qs

@@ -16,7 +16,8 @@
 //
 // Determinism contract: with fusion disabled (PlanOptions::none()), every
 // run_* method performs bitwise the same arithmetic, in the same order,
-// and consumes the RNG stream identically to the gate-by-gate seed path.
+// and consumes the RNG stream identically to the gate-by-gate reference
+// path (the backends' static apply primitives).
 // Fusion reassociates floating-point products, so fused plans agree to
 // ~1e-12 rather than bitwise; fusion never crosses a noise channel, so the
 // RNG consumption order is preserved either way.

@@ -18,8 +18,8 @@ class StateVectorBackend final : public Backend {
   ExecutionResult execute(const ExecutionRequest& request) const override;
 
   /// Stateful primitive: applies every gate of `circuit` to `psi` in
-  /// order. Shared by the request path, circuit_unitary, and the legacy
-  /// run()/run_from_vacuum shims.
+  /// order. Used by circuit_unitary, and the gate-by-gate reference
+  /// that compiled plans are pinned to.
   static void apply(const Circuit& circuit, StateVector& psi);
 };
 

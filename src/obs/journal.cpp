@@ -8,6 +8,8 @@
 #include <tuple>
 #include <utility>
 
+#include "common/parse.h"
+
 namespace qs {
 namespace obs {
 namespace {
@@ -26,12 +28,7 @@ std::string sanitize_label(const std::string& s) {
 }
 
 std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  try {
-    return std::stoull(value, nullptr, 0);
-  } catch (const std::exception&) {
-    throw std::runtime_error("Journal: bad numeric field '" + value +
-                             "' in line: " + line);
-  }
+  return parse_number<std::uint64_t>(value, "Journal", line);
 }
 
 }  // namespace

@@ -203,9 +203,9 @@ struct JobRecord {
   /// Calibration pinned at submission: the snapshot the job's processor
   /// view and/or readout mitigation consumed (nullptr = uncalibrated),
   /// and the service-owned calibrated device copy `request.processor`
-  /// points into (spec.processor stays untouched). Written at submission
-  /// before the record enters the queue; under the kRefreshAtDispatch
-  /// staleness policy the owning worker rebinds both at dispatch.
+  /// points into (spec.processor stays untouched). Written only at
+  /// submission, before the record enters the queue; a job dispatched
+  /// after a recalibration still runs against this snapshot.
   std::shared_ptr<const CalibrationSnapshot> calibration;
   std::optional<Processor> calibrated_proc;
   /// Flight recorder sink (null = journaling off). Frozen at submission

@@ -252,16 +252,14 @@ struct ServiceCore {
     return true;
   }
 
-  /// Counts -- and under kRefreshAtDispatch rebinds -- batch members
-  /// whose pinned calibration fell behind the store's latest epoch
-  /// (a recalibration landed while they were queued). The popped records
-  /// are exclusively owned by this worker, so the rebind does not race
-  /// with handles (which only read the frozen seed/id fields).
+  /// Counts batch members whose pinned calibration fell behind the
+  /// store's latest epoch (a recalibration landed while they were
+  /// queued). They still execute against the snapshot frozen at
+  /// submission, so their results stay a pure function of the request.
   void handle_staleness(const std::vector<Record>& batch)
       QS_EXCLUDES(mutex) {
     const std::uint64_t current = calib_store->latest_epoch();
     if (current == 0) return;
-    CalibrationStore::Ptr latest;
     std::size_t stale = 0;
     for (const Record& r : batch) {
       const bool uses_calibration =
@@ -270,26 +268,7 @@ struct ServiceCore {
       if (!uses_calibration) continue;
       const std::uint64_t pinned =
           r->calibration != nullptr ? r->calibration->epoch : 0;
-      if (pinned >= current) continue;
-      ++stale;
-      if (opts.staleness != CalibrationStalenessPolicy::kRefreshAtDispatch)
-        continue;
-      if (latest == nullptr) latest = calib_store->latest();
-      try {
-        if (r->request.processor != nullptr) {
-          r->calibrated_proc =
-              r->request.processor->with_calibration(latest);
-          r->request.processor = &*r->calibrated_proc;
-        }
-        if (r->request.readout_calibration != nullptr)
-          r->request.readout_calibration = latest;
-        r->calibration = latest;
-      } catch (...) {
-        // The latest snapshot does not fit this job's device (e.g. a
-        // shared store fed by a different processor). Execute with the
-        // frozen view instead of letting the exception escape the
-        // worker thread and terminate the process.
-      }
+      if (pinned < current) ++stale;
     }
     if (stale > 0) registry->add(stale_hits_id, stale);
   }

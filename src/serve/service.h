@@ -46,22 +46,6 @@ namespace detail {
 struct ServiceCore;
 }
 
-/// What a worker does when it dispatches a job whose pinned calibration
-/// epoch is older than the store's latest (a recalibration landed while
-/// the job sat in the queue). Every such dispatch counts as a stale hit
-/// either way.
-enum class CalibrationStalenessPolicy {
-  /// Execute with the calibration frozen at submission (default): the
-  /// job's result stays a pure function of its submitted request, so the
-  /// serve determinism contract is unconditional.
-  kUseSubmitted,
-  /// Rebind the job to the latest snapshot at dispatch: fresher device
-  /// model, but the result then depends on when recalibrations land
-  /// relative to dispatch (reproducible only when recalibration timing
-  /// is controlled, e.g. paused bursts in tests).
-  kRefreshAtDispatch,
-};
-
 /// Service-level knobs.
 struct ServiceOptions {
   /// Worker threads draining the queue, one ExecutionSession each.
@@ -98,9 +82,6 @@ struct ServiceOptions {
   /// a calibrated device view at submission (their transpile/plan keys
   /// fold in the epoch, so caches invalidate on recalibration).
   std::shared_ptr<CalibrationStore> calibration_store;
-  /// Staleness policy for jobs dispatched after a recalibration.
-  CalibrationStalenessPolicy staleness =
-      CalibrationStalenessPolicy::kUseSubmitted;
 
   // --- observability (all optional, non-owning; must outlive the
   // service) ---------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.h"
 #include "dynamics/trotter.h"
 #include "gates/bosonic.h"
 #include "gates/qudit_gates.h"
@@ -54,21 +55,11 @@ std::string fmt(double v) {
 }
 
 double parse_f64(const std::string& value, const std::string& line) {
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error("WorkloadSpec: bad double '" + value +
-                             "' in: " + line);
-  }
+  return parse_number<double>(value, "WorkloadSpec", line);
 }
 
 std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error("WorkloadSpec: bad integer '" + value +
-                             "' in: " + line);
-  }
+  return parse_number<std::uint64_t>(value, "WorkloadSpec", line);
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -157,7 +148,7 @@ WorkloadSpec WorkloadSpec::parse(const std::string& line) {
       t.burst_factor = parse_f64(f[3], line);
       t.burst_period = parse_u64(f[4], line);
       t.burst_length = parse_u64(f[5], line);
-      t.priority = static_cast<int>(parse_u64(f[6], line));
+      t.priority = parse_number<int>(f[6], "WorkloadSpec", line);
       t.deadline_fraction = parse_f64(f[7], line);
       t.deadline_seconds = parse_f64(f[8], line);
       t.cancel_fraction = parse_f64(f[9], line);

@@ -368,16 +368,17 @@ TEST(ServeRecalibration, InvalidatesCachesAndCountsStaleHits) {
   EXPECT_EQ(t.transpile_cache_hits, 1u);    // fresh2 reuses fresh1's
 }
 
-TEST(ServeRecalibration, RefreshAtDispatchReExecutesAgainstLatest) {
+TEST(ServeRecalibration, StaleJobMitigatesAgainstSubmittedSnapshot) {
   const Processor proc = Processor::testbed_device();
   const TrajectoryBackend backend{device_noise()};
   ServiceOptions options;
   options.workers = 1;
   options.start_paused = true;
-  options.staleness = CalibrationStalenessPolicy::kRefreshAtDispatch;
   JobService service(backend, options);
   const CalibrationSnapshot base = CalibrationSnapshot::nominal(proc, 0.05);
   service.recalibrate(base);
+  const auto pinned = service.calibration_store().latest();
+  ASSERT_NE(pinned, nullptr);
 
   JobHandle job = service.submit(JobSpec(workload_circuit())
                                      .with_shots(16)
@@ -390,9 +391,21 @@ TEST(ServeRecalibration, RefreshAtDispatchReExecutesAgainstLatest) {
   const ExecutionResult result = job.result();
   const ServiceTelemetry t = service.telemetry();
   service.shutdown(ShutdownMode::kDrain);
-  // The refreshed job executed -- and mitigated -- against epoch 2.
-  EXPECT_EQ(result.calib_epoch, 2u);
+  // The stale job still executed -- and mitigated -- against epoch 1.
+  EXPECT_EQ(result.calib_epoch, 1u);
   EXPECT_EQ(t.stale_hits, 1u);
+  ASSERT_FALSE(result.mitigated.empty());
+
+  // Bitwise the same as a session run against the submitted snapshot.
+  ExecutionSession session(backend);
+  const ExecutionResult direct =
+      session.submit(ExecutionRequest(workload_circuit())
+                         .with_shots(16)
+                         .with_seed(77)
+                         .with_compilation(proc.with_calibration(pinned))
+                         .with_readout_mitigation(pinned));
+  EXPECT_EQ(direct.counts, result.counts);
+  EXPECT_EQ(direct.mitigated, result.mitigated);
 }
 
 // --- characterization drivers -------------------------------------------

@@ -192,6 +192,21 @@ TEST(JournalTest, HeaderSetGetAndOverwrite) {
   EXPECT_EQ(journal.header("note"), "second");
 }
 
+TEST(JournalEventTest, ParseRejectsLaxNumbers) {
+  for (const std::string bad :
+       {"t=12junk", "t=", "t=+12", "t=0x10", "t=1.5", "job=-3",
+        "seed=18446744073709551616", "cepoch=1e3"}) {
+    EXPECT_THROW(JournalEvent::parse("type=submitted " + bad),
+                 std::runtime_error)
+        << bad;
+  }
+  const JournalEvent max = JournalEvent::parse(
+      "t=0 type=completed job=7 digest=18446744073709551615");
+  EXPECT_EQ(max.digest, 18446744073709551615ull);
+  std::istringstream is("QSJ1\nE t=1 type=submitted job=1\nF count=1x\n");
+  EXPECT_THROW(Journal::read(is), std::runtime_error);
+}
+
 TEST(JournalTest, WriteReadRoundTrip) {
   Journal journal;
   journal.set_header("spec", "seed=3 ticks=4 with spaces = allowed");

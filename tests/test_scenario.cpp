@@ -45,6 +45,31 @@ TEST(WorkloadSpecTest, SerializeParseRoundTrip) {
   EXPECT_THROW(WorkloadSpec::parse("seed=1 nonsense"), std::runtime_error);
 }
 
+TEST(WorkloadSpecTest, ParseRejectsLaxNumbers) {
+  const std::string base = WorkloadSpec::standard(7, 40).serialize();
+  ASSERT_NO_THROW(WorkloadSpec::parse(base));
+  const std::string tenant = " tenant=t,qrc,1,1,0,1,";
+  ASSERT_NO_THROW(WorkloadSpec::parse(base + tenant + "-2,0,0,0,8,1"));
+  for (const std::string bad :
+       {"seed=12x", "seed=+12", "seed=", "ticks=-1", "storm=1e3", "pause=2-3x",
+        "tick_s=1.0junk", "tick_s=nan", "ttl=inf", "flood_frac=0x1p-1",
+        "seed=18446744073709551616"}) {
+    EXPECT_THROW(WorkloadSpec::parse(base + " " + bad), std::runtime_error)
+        << bad;
+  }
+  for (const std::string bad : {"4294967293", "-3x", "1.5"}) {
+    EXPECT_THROW(WorkloadSpec::parse(base + tenant + bad + ",0,0,0,8,1"),
+                 std::runtime_error)
+        << "priority " << bad;
+  }
+  // Negative priorities are signed values, not unsigned wraparound.
+  WorkloadSpec spec = WorkloadSpec::standard(7, 40);
+  spec.tenants[0].priority = -3;
+  const WorkloadSpec back = WorkloadSpec::parse(spec.serialize());
+  EXPECT_EQ(back.tenants[0].priority, -3);
+  EXPECT_EQ(back.serialize(), spec.serialize());
+}
+
 TEST(WorkloadSpecTest, ScaleToJobsHitsTheTarget) {
   WorkloadSpec spec = WorkloadSpec::standard(3, 50);
   spec.scale_to_jobs(2000);

@@ -53,6 +53,7 @@ void Circuit::add(std::string name, Matrix u, std::vector<int> sites,
   op.sites = std::move(sites);
   op.duration = duration;
   ops_.push_back(std::move(op));
+  structural_digest_.set(0);
 }
 
 void Circuit::add_diagonal(std::string name, std::vector<cplx> diag,
@@ -65,6 +66,7 @@ void Circuit::add_diagonal(std::string name, std::vector<cplx> diag,
   op.duration = duration;
   op.diagonal = true;
   ops_.push_back(std::move(op));
+  structural_digest_.set(0);
 }
 
 void Circuit::add_parametric(std::string name,
@@ -98,6 +100,7 @@ void Circuit::add_parametric(std::string name,
     check_sites(op.sites, op.matrix.rows());
   }
   ops_.push_back(std::move(op));
+  structural_digest_.set(0);
   const std::size_t need = static_cast<std::size_t>(expr.index) + 1;
   if (need > num_parameters_) num_parameters_ = need;
 }
@@ -114,6 +117,7 @@ void Circuit::add_operation(Operation op) {
     if (need > num_parameters_) num_parameters_ = need;
   }
   ops_.push_back(std::move(op));
+  structural_digest_.set(0);
 }
 
 void Circuit::set_last_noise_multiplicity(int multiplicity) {
@@ -121,11 +125,13 @@ void Circuit::set_last_noise_multiplicity(int multiplicity) {
   require(multiplicity >= 1,
           "set_last_noise_multiplicity: multiplicity >= 1 required");
   ops_.back().noise_multiplicity = multiplicity;
+  structural_digest_.set(0);
 }
 
 void Circuit::append(const Circuit& other) {
   require(space_ == other.space_, "Circuit::append: space mismatch");
   ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
+  structural_digest_.set(0);
   if (other.num_parameters_ > num_parameters_)
     num_parameters_ = other.num_parameters_;
   // Mixing operations from two circuits invalidates any "bound with this
@@ -137,6 +143,8 @@ Circuit Circuit::bind(const std::vector<double>& params) const {
   require(params.size() == num_parameters_,
           "Circuit::bind: expected " + std::to_string(num_parameters_) +
               " parameter(s), got " + std::to_string(params.size()));
+  // The copy keeps the memoized structural digest: binding rewrites
+  // only parametric payloads, which that digest does not read.
   Circuit bound(*this);
   for (Operation& op : bound.ops_) {
     if (!op.parametric()) continue;
@@ -275,7 +283,12 @@ std::uint64_t fingerprint(const Circuit& circuit) {
 }
 
 std::uint64_t structural_fingerprint(const Circuit& circuit) {
-  return digest_circuit(circuit, /*structural=*/true);
+  std::uint64_t digest = circuit.structural_digest_.get();
+  if (digest == 0) {
+    digest = digest_circuit(circuit, /*structural=*/true);
+    circuit.structural_digest_.set(digest);
+  }
+  return digest;
 }
 
 }  // namespace qs

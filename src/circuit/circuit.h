@@ -15,6 +15,7 @@
 #ifndef QS_CIRCUIT_CIRCUIT_H
 #define QS_CIRCUIT_CIRCUIT_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -184,12 +185,38 @@ class Circuit {
   std::string to_string() const;
 
  private:
+  friend std::uint64_t structural_fingerprint(const Circuit& circuit);
+
+  /// The memoized structural digest; 0 means "not computed" (a digest
+  /// that really is 0 is just recomputed). Relaxed atomic, so const
+  /// readers on several threads may fill it at once: they all store the
+  /// same value. Copies carry it.
+  class DigestMemo {
+   public:
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo& other) : value_(other.get()) {}
+    DigestMemo& operator=(const DigestMemo& other) {
+      set(other.get());
+      return *this;
+    }
+    std::uint64_t get() const {
+      return value_.load(std::memory_order_relaxed);
+    }
+    void set(std::uint64_t value) {
+      value_.store(value, std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint64_t> value_{0};
+  };
+
   void check_sites(const std::vector<int>& sites, std::size_t block) const;
 
   QuditSpace space_;
   std::vector<Operation> ops_;
   std::size_t num_parameters_ = 0;
   std::vector<double> parameter_values_;
+  mutable DigestMemo structural_digest_;
 };
 
 /// Order-sensitive 64-bit digest of a circuit: space dims plus every
@@ -207,6 +234,14 @@ std::uint64_t fingerprint(const Circuit& circuit);
 /// digests identically. Equals fingerprint() for circuits with no
 /// parametric operations. This is THE cache key of the transpile cache,
 /// the plan cache, and the serve layer's batching keys.
+///
+/// Memoized: the first call stores the digest in the circuit, and later
+/// calls return it without walking the operations. Every mutator (add,
+/// add_diagonal, add_parametric, add_operation,
+/// set_last_noise_multiplicity, append) clears it. Copies carry it, and
+/// so does bind(), which changes only the payload values this digest
+/// does not read. Safe to call from several threads on one const
+/// circuit.
 std::uint64_t structural_fingerprint(const Circuit& circuit);
 
 }  // namespace qs

@@ -1,6 +1,8 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -119,6 +121,14 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
   CalibrationSnapshot calibration = CalibrationSnapshot::nominal(device, 0.02);
   const DriftModel drift(split_seed(spec.seed, kStormStream));
 
+  // One prototype JobSpec per (tenant, variant), built by make_job and
+  // structurally fingerprinted the first time that variant arrives. Each
+  // arrival copies its prototype (the copy carries the memoized digest),
+  // so a run builds and hashes each circuit once, not once per job.
+  std::vector<std::vector<std::optional<JobSpec>>> prototypes;
+  for (const TenantSpec& tenant : spec.tenants)
+    prototypes.emplace_back(std::max<std::size_t>(1, tenant.variants));
+
   std::vector<JobHandle> open;
   std::uint64_t snapshots = 0;
   for (std::uint64_t tick = 0; tick < spec.ticks; ++tick) {
@@ -135,8 +145,13 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
           tenant.rate * (in_burst(tenant, tick) ? tenant.burst_factor : 1.0);
       const std::uint64_t arrivals = poisson(rng, rate);
       for (std::uint64_t k = 0; k < arrivals; ++k) {
-        JobSpec job = make_job(tenant, rng.index(std::max<std::size_t>(
-                                           1, tenant.variants)));
+        const std::size_t variant = rng.index(prototypes[ti].size());
+        std::optional<JobSpec>& prototype = prototypes[ti][variant];
+        if (!prototype) {
+          prototype.emplace(make_job(tenant, variant));
+          structural_fingerprint(prototype->circuit);
+        }
+        JobSpec job = *prototype;
         if (tenant.deadline_fraction > 0.0 &&
             rng.bernoulli(tenant.deadline_fraction))
           job.with_deadline(tenant.deadline_seconds);

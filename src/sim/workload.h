@@ -120,7 +120,8 @@ struct WorkloadSpec {
 };
 
 /// Deterministic circuit of the tenant's `variant`-th sweep point
-/// (pure function of (kind, variant); the engine caches copies).
+/// (pure function of (kind, variant); run_scenario builds each one once
+/// per run and submits copies).
 Circuit make_circuit(JobKind kind, std::size_t variant);
 
 /// JobSpec for one arrival: circuit, tenant identity, priority, shots,

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -205,6 +207,72 @@ TEST(ParametricCircuit, StructuralFingerprintIgnoresBindings) {
   // Non-parametric circuits: both digests coincide.
   const Circuit plain = bell_circuit(3);
   EXPECT_EQ(structural_fingerprint(plain), fingerprint(plain));
+}
+
+// ---------------------------------------------------------------------
+// The memoized structural digest
+// ---------------------------------------------------------------------
+
+TEST(StructuralDigestMemo, EveryMutatorInvalidates) {
+  // Each mutator applied to a circuit whose digest is already memoized
+  // must leave the digest of a freshly built identical circuit.
+  const std::vector<std::function<void(Circuit&)>> mutators = {
+      [](Circuit& c) { c.add("X", weyl_x(3), {1}); },
+      [](Circuit& c) {
+        c.add_diagonal("Z", {cplx{1.0, 0.0}, cplx{0.0, 1.0}, cplx{-1.0, 0.0}},
+                       {0});
+      },
+      [](Circuit& c) {
+        c.add_parametric("RZ", phase_generator(0xa3), ParamExpr{1, 1.0, 0.0},
+                         {0});
+      },
+      [](Circuit& c) { c.add_operation(c.operations().front()); },
+      [](Circuit& c) { c.set_last_noise_multiplicity(3); },
+      [](Circuit& c) { c.append(bell_circuit(3)); },
+  };
+  for (std::size_t m = 0; m < mutators.size(); ++m) {
+    Circuit memoized = parametric_pair();
+    const std::uint64_t before = structural_fingerprint(memoized);
+    mutators[m](memoized);
+    Circuit fresh = parametric_pair();
+    mutators[m](fresh);
+    EXPECT_EQ(structural_fingerprint(memoized), structural_fingerprint(fresh))
+        << "mutator " << m;
+    EXPECT_NE(structural_fingerprint(memoized), before) << "mutator " << m;
+  }
+}
+
+TEST(StructuralDigestMemo, CopiesAreIndependent) {
+  const Circuit original = parametric_pair();
+  const std::uint64_t digest = structural_fingerprint(original);
+  Circuit copy = original;  // carries the memoized digest
+  EXPECT_EQ(structural_fingerprint(copy), digest);
+  copy.add("X", weyl_x(3), {0});
+  EXPECT_NE(structural_fingerprint(copy), digest);
+  EXPECT_EQ(structural_fingerprint(original), digest);
+  Circuit assigned(QuditSpace({3, 3}));
+  assigned = original;
+  EXPECT_EQ(structural_fingerprint(assigned), digest);
+}
+
+TEST(StructuralDigestMemo, BindKeepsTheSymbolicDigest) {
+  const Circuit memoized = parametric_pair();
+  const std::uint64_t digest = structural_fingerprint(memoized);
+  EXPECT_EQ(structural_fingerprint(memoized.bind({0.3})), digest);
+  // Binding a never-hashed circuit digests alike, too.
+  EXPECT_EQ(structural_fingerprint(parametric_pair().bind({0.9})), digest);
+}
+
+TEST(StructuralDigestMemo, ConcurrentFirstReadsAgree) {
+  const Circuit circuit = parametric_pair();  // never hashed
+  const std::uint64_t expected = structural_fingerprint(parametric_pair());
+  std::vector<std::uint64_t> seen(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    threads.emplace_back(
+        [&circuit, &seen, t] { seen[t] = structural_fingerprint(circuit); });
+  for (std::thread& thread : threads) thread.join();
+  for (std::uint64_t digest : seen) EXPECT_EQ(digest, expected);
 }
 
 TEST(ParametricCircuit, InverseRequiresABinding) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "exec/state_vector_backend.h"
 #include "obs/clock.h"
 #include "obs/journal.h"
@@ -131,6 +132,27 @@ TEST(ScenarioTest, JournalIsBitwiseIdenticalAcrossWorkerCounts) {
   // the pause window must have cost it at least one.
   EXPECT_GT(slo.at("tomo").with_deadline, 0u);
   EXPECT_FALSE(format_slo(slo).empty());
+}
+
+TEST(ScenarioTest, StandardJournalMatchesTheGolden) {
+  // Pins the exported journal bytes of a small standard scenario. Moving
+  // this value means the scenario's observable behaviour changed (e.g.
+  // a new RNG); a pure speed-up, such as building each circuit once per
+  // run, must leave it alone.
+  constexpr std::uint64_t kGolden = 0xf23e66955007d519ull;
+  WorkloadSpec spec = WorkloadSpec::standard(42, 40);
+  spec.scale_to_jobs(2000);
+  const StateVectorBackend backend;
+  for (std::size_t workers : {1, 3}) {
+    obs::Journal journal;
+    ScenarioOptions options;
+    options.workers = workers;
+    const ScenarioReport report = run_scenario(backend, spec, journal, options);
+    EXPECT_EQ(report.submitted, 1902u) << workers << " worker(s)";
+    const std::string bytes = journal.str();
+    EXPECT_EQ(fnv::bytes(bytes.data(), bytes.size(), fnv::kOffset), kGolden)
+        << workers << " worker(s)";
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -9,13 +9,16 @@
 //
 // Exit codes: 0 = ok, 1 = usage, 2 = invariant violations.
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "exec/state_vector_backend.h"
 #include "obs/journal.h"
 #include "sim/invariants.h"
@@ -65,18 +68,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&]() -> std::uint64_t {
+      const std::string text = value();
+      try {
+        return qs::parse_number<std::uint64_t>(text, "scenario_runner",
+                                               arg + " " + text);
+      } catch (const std::runtime_error& e) {
+        std::cerr << e.what() << "\n";
+        std::exit(1);
+      }
+    };
     if (arg == "--spec") {
       spec_line = value();
     } else if (arg == "--seed") {
-      seed = std::stoull(value());
+      seed = number();
     } else if (arg == "--ticks") {
-      ticks = std::stoull(value());
+      ticks = number();
     } else if (arg == "--jobs") {
-      jobs = std::stoull(value());
+      jobs = number();
     } else if (arg == "--workers") {
-      options.workers = std::stoull(value());
+      options.workers = number();
     } else if (arg == "--max-batch") {
-      options.max_batch = std::stoull(value());
+      options.max_batch = number();
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--check") {

@@ -3,9 +3,10 @@
 // A JobSpec is what a tenant hands the JobService: a circuit plus the
 // execution knobs of an ExecutionRequest, a tenant identity, a priority,
 // and an optional dispatch deadline. At submission the service freezes the
-// spec into an ExecutionRequest with a concrete seed -- from then on the
-// job's result is a pure function of that request, never of queue order,
-// batching, or worker count (the serve determinism contract, see
+// spec into an ExecutionRequest with a concrete seed, which the job's
+// record holds until a worker dispatches it and executes it exactly once.
+// The job's result is a pure function of that request, never of queue
+// order, batching, or worker count (the serve determinism contract, see
 // docs/ARCHITECTURE.md "Serve layer").
 #ifndef QS_SERVE_JOB_H
 #define QS_SERVE_JOB_H
@@ -163,8 +164,10 @@ namespace detail {
 /// Shared lifecycle record of one submitted job. Owned jointly by the
 /// service (queue + bookkeeping) and every JobHandle; `mutex` guards the
 /// mutable tail (status/result/error) and `cv` signals terminal
-/// transitions. Everything above the mutex is frozen at submission and
-/// may be read without locking.
+/// transitions. Everything above the mutex except `request` is frozen at
+/// submission and may be read without locking. `request` belongs to the
+/// record until dispatch and to the dispatching worker afterwards, which
+/// moves it out; nothing reads it from the record after that.
 ///
 /// Lock order: ServiceCore::mutex -> JobRecord::mutex (core -> record).
 /// Code holding a record mutex must never reach back into the service
@@ -177,6 +180,7 @@ struct JobRecord {
         tenant(std::move(tenant_name)),
         priority(prio),
         plan_key(key),
+        seed(req.seed),
         submitted_at(now),
         has_deadline(deadline_s > 0.0),
         deadline(now + std::chrono::duration_cast<obs::Duration>(
@@ -191,6 +195,8 @@ struct JobRecord {
   /// (structural circuit, noise, options) compiled plan -- possibly under
   /// different parameter bindings -- and may be batched together.
   const std::uint64_t plan_key;
+  /// The job's RNG seed (JobHandle::seed), copied out of `request`.
+  const std::uint64_t seed;
   /// Timestamps on the service's injected obs::Clock (real or virtual).
   const obs::TimePoint submitted_at;
   const bool has_deadline;
@@ -199,6 +205,7 @@ struct JobRecord {
   /// once at submission so workers record without a name lookup.
   obs::HistogramId tenant_latency_id;
   /// Fully seeded request; the job's result is a pure function of it.
+  /// Moved out at dispatch (see the ownership note above).
   ExecutionRequest request;
   /// Calibration pinned at submission: the snapshot the job's processor
   /// view and/or readout mitigation consumed (nullptr = uncalibrated),

@@ -75,7 +75,6 @@ FairShareQueue::Record FairShareQueue::take_live(
 FairShareQueue::Pop FairShareQueue::pop_batch(std::size_t max_batch,
                                               Clock::time_point now) {
   Pop out;
-  if (max_batch == 0) max_batch = 1;
 
   // 1+2+3: seed job = highest priority, round-robin tenant, FIFO lane.
   Record seed;

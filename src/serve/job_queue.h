@@ -11,8 +11,7 @@
 //      max_batch-1 further queued jobs with the *same plan key* (same
 //      compiled (circuit, noise, options) plan -- any tenant, any
 //      priority) join the batch, so a burst of identical circuits is
-//      dispatched as one ExecutionSession::submit_batch sharing one
-//      CompiledCircuit.
+//      dispatched together and shares one CompiledCircuit.
 //
 // The queue is NOT internally synchronized: the JobService serializes all
 // queue calls under its own mutex (records' mutexes are taken briefly

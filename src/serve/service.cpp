@@ -35,12 +35,7 @@ namespace {
 
 /// FNV-1a of a tenant name: selects the tenant's seed stream.
 std::uint64_t tenant_hash(const std::string& tenant) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : tenant) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return fnv::bytes(tenant.data(), tenant.size(), fnv::kOffset);
 }
 
 /// Digest of an ExecutionResult's *deterministic* payload, journalled on
@@ -275,11 +270,9 @@ struct ServiceCore {
 
   /// Runs one batch on the worker's session. All jobs share `plan_key`,
   /// so the transpile artifact (hardware-targeted jobs) and the compiled
-  /// plan are resolved once and attached to every request. On a
-  /// batch-level exception the jobs are retried one at a time -- seeds
-  /// are already frozen, so the retry is bitwise the run the batch would
-  /// have produced -- isolating the failing job(s) instead of failing
-  /// innocent batch-mates.
+  /// plan are resolved once and attached to every request. Each job then
+  /// executes exactly once through ExecutionSession::submit; a job that
+  /// throws fails alone and its batch-mates run unaffected.
   void execute_batch(ExecutionSession& session,
                      const std::vector<Record>& batch) QS_EXCLUDES(mutex) {
     obs::SpanTimer batch_span = tracer != nullptr
@@ -318,42 +311,24 @@ struct ServiceCore {
       }
     } catch (...) {
       // Compilation failure (e.g. malformed circuit): leave the plan and
-      // artifact empty; the per-job path below reports the error per job.
+      // artifact empty; each job's submit compiles for itself below and
+      // reports the error per job.
     }
 
     // Outcomes are collected first and records signalled last, so by the
     // time any waiter wakes the counters already account for its job.
     std::vector<JobOutcome> outcomes(batch.size());
-
-    bool batch_ok = plan != nullptr;
-    if (batch_ok) {
-      std::vector<ExecutionRequest> requests;
-      requests.reserve(batch.size());
-      for (const Record& r : batch) {
-        ExecutionRequest request = r->request;  // keep the original for
-        request.plan = plan;                    // the isolation retry
-        request.transpiled = transpiled;
-        requests.push_back(std::move(request));
-      }
-      try {
-        obs::SpanTimer dispatch_span =
-            tracer != nullptr ? tracer->span(obs::Phase::kDispatch)
-                              : obs::SpanTimer();
-        dispatch_span.set_detail(batch_detail.c_str());
-        std::vector<ExecutionResult> results =
-            session.submit_batch(std::move(requests));
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          outcomes[i] = {JobStatus::kDone, std::move(results[i]), {}};
-      } catch (...) {
-        batch_ok = false;
-      }
-    }
-    if (!batch_ok) {
+    {
+      obs::SpanTimer dispatch_span =
+          tracer != nullptr ? tracer->span(obs::Phase::kDispatch)
+                            : obs::SpanTimer();
+      dispatch_span.set_detail(batch_detail.c_str());
       for (std::size_t i = 0; i < batch.size(); ++i) {
+        // Dispatch hands the request from the record to this worker.
+        ExecutionRequest request = std::move(batch[i]->request);
+        request.plan = plan;
+        request.transpiled = transpiled;
         try {
-          ExecutionRequest request = batch[i]->request;
-          request.plan = plan;  // may be empty: backend compiles for itself
-          request.transpiled = transpiled;
           outcomes[i] = {JobStatus::kDone,
                          session.submit(std::move(request)), {}};
         } catch (const std::exception& e) {
@@ -368,7 +343,10 @@ struct ServiceCore {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (outcomes[i].status == JobStatus::kDone) {
         obs::SpanTimer span =
-            batch[i]->request.trace.span(obs::Phase::kStore);
+            tracer != nullptr
+                ? tracer->span(obs::Phase::kStore, batch[i]->id,
+                               batch[i]->tenant.c_str())
+                : obs::SpanTimer();
         store.put(batch[i]->id, outcomes[i].result);
         span.finish();
         dispatch += outcomes[i].result.kernel_dispatch;
@@ -425,7 +403,7 @@ struct ServiceCore {
 
   void worker_loop() QS_EXCLUDES(mutex) {
     SessionOptions session_options;
-    session_options.threads = opts.threads_per_worker;
+    session_options.threads = 1;  // jobs run on this worker's thread
     session_options.plan_options = opts.plan_options;
     session_options.shared_plan_cache = plan_cache;
     session_options.shared_transpile_cache = transpile_cache;
@@ -502,7 +480,7 @@ JobId JobHandle::id() const {
 
 std::uint64_t JobHandle::seed() const {
   require(valid(), "JobHandle::seed: invalid handle");
-  return record_->request.seed;
+  return record_->seed;
 }
 
 JobStatus JobHandle::status() const {
@@ -660,7 +638,7 @@ JobHandle JobService::submit(JobSpec spec) {
     event.type = obs::JournalEventType::kSubmitted;
     event.job = id;
     event.tenant = record->tenant;
-    event.seed = record->request.seed;
+    event.seed = record->seed;
     if (record->has_deadline)
       event.deadline_ns = obs::nanos_since_epoch(record->deadline);
     if (record->calibration != nullptr)

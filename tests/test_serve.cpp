@@ -146,13 +146,11 @@ TEST(ServeDeterminism, ConcurrentMixedWorkloadMatchesSerialBitwise) {
 
   ServiceOptions serial;
   serial.workers = 1;
-  serial.threads_per_worker = 1;
   serial.max_batch = 1;  // one job per dispatch: the naive reference
   const auto reference = run_workload(backend, serial, tenants, false);
 
   ServiceOptions pooled;
   pooled.workers = 3;
-  pooled.threads_per_worker = 2;
   pooled.max_batch = 8;
   const auto concurrent = run_workload(backend, pooled, tenants, true);
 
@@ -276,6 +274,16 @@ TEST(FairShareQueue, MaxBatchCapsTheMerge) {
   auto pop = queue.pop_batch(2, std::chrono::steady_clock::now());
   EXPECT_EQ(pop.batch.size(), 2u);
   EXPECT_EQ(drain_ids(queue, 2), (std::vector<JobId>{3, 4, 5}));
+
+  // max_batch 0 gathers no mates: every pop is the seed job alone.
+  for (JobId id = 6; id <= 8; ++id)
+    queue.push(make_record(id, "a", 0, 42));
+  for (JobId id = 6; id <= 8; ++id) {
+    auto single = queue.pop_batch(0, std::chrono::steady_clock::now());
+    ASSERT_EQ(single.batch.size(), 1u);
+    EXPECT_EQ(single.batch[0]->id, id);
+  }
+  EXPECT_EQ(queue.indexed_records(), 0u);
 }
 
 TEST(FairShareQueue, NoRecordOutlivesItsQueueLifetime) {
@@ -619,11 +627,43 @@ TEST(JobService, QueueBoundRejectsOverflow) {
   EXPECT_EQ(c.status(), JobStatus::kDone);
 }
 
+/// Forwards to a real backend and counts execute() calls per request
+/// seed, so a test can check that every job runs exactly once.
+class CountingBackend final : public Backend {
+ public:
+  explicit CountingBackend(const Backend& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool is_noisy() const override { return inner_.is_noisy(); }
+  const NoiseModel* noise_model() const override {
+    return inner_.noise_model();
+  }
+  ExecutionResult execute(const ExecutionRequest& request) const override {
+    {
+      MutexLock lock(mutex_);
+      ++calls_[request.seed];
+    }
+    return inner_.execute(request);
+  }
+
+  std::size_t calls(std::uint64_t seed) const {
+    MutexLock lock(mutex_);
+    const auto it = calls_.find(seed);
+    return it == calls_.end() ? 0 : it->second;
+  }
+
+ private:
+  const Backend& inner_;
+  mutable Mutex mutex_;
+  mutable std::map<std::uint64_t, std::size_t> calls_ QS_GUARDED_BY(mutex_);
+};
+
 TEST(JobService, FailedJobsSurfaceTheErrorAndSpareBatchMates) {
   // DensityMatrixBackend rejects oversized registers; a batch mixing a
   // poisoned job (tiny max_dim) with healthy ones must fail only the
-  // poisoned one.
-  const DensityMatrixBackend backend;
+  // poisoned one, and must not run any job twice.
+  const DensityMatrixBackend density;
+  const CountingBackend backend(density);
   ServiceOptions options;
   options.workers = 1;
   options.max_batch = 8;
@@ -643,6 +683,10 @@ TEST(JobService, FailedJobsSurfaceTheErrorAndSpareBatchMates) {
   service.shutdown(ShutdownMode::kDrain);
   EXPECT_EQ(service.telemetry().failed, 1u);
   EXPECT_EQ(service.telemetry().completed, 2u);
+  for (const JobHandle* h : {&good1, &poisoned, &good2})
+    EXPECT_EQ(backend.calls(h->seed()), 1u) << "job " << h->id();
+  EXPECT_EQ(good1.seed(), good1.result().seed);
+  EXPECT_EQ(good2.seed(), good2.result().seed);
 }
 
 TEST(JobService, FetchServesResultsAfterHandlesAreGone) {

@@ -60,6 +60,12 @@ turns those into CI failures. Rules (see docs/ARCHITECTURE.md
                    journal, silently breaking the replay contract
                    (bitwise-identical journals for any worker count).
 
+  fnv-literal      Bans the FNV-1a offset basis and prime literals in src/
+                   outside common/fingerprint.h. Digests must hash through
+                   the fnv:: helpers there; a hand-rolled copy of the loop
+                   is a second definition of the hash that can drift from
+                   the one every cache key and seed stream relies on.
+
 Suppression: append `// lint:allow(<rule>): <why>` to the offending line,
 or put it on its own line directly above (for lines with no room under
 the 80-column format limit). The reason is mandatory; a bare allow is
@@ -81,6 +87,7 @@ SRC = REPO_ROOT / "src"
 # Files whose whole job is to wrap the raw primitives.
 RAW_SYNC_HOME = "src/common/thread_annotations.h"
 CLOCK_HOME = "src/obs/clock.h"
+FNV_HOME = "src/common/fingerprint.h"
 
 # Files holding order-sensitive digest/serialization code, in addition to
 # any file that *defines* a fingerprint() function (detected below).
@@ -134,6 +141,10 @@ NONDETERMINISM_PATTERNS = [
 ]
 
 RAW_CLOCK_RE = re.compile(r"\b(steady_clock|high_resolution_clock)\b")
+
+# The 64-bit FNV-1a offset basis and prime, in any hex spelling.
+FNV_LITERAL_RE = re.compile(
+    r"\b0x0*(?:cbf29ce484222325|100000001b3)[ul]*\b", re.IGNORECASE)
 
 RAW_SYNC_RE = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -298,6 +309,14 @@ def lint_file(path: pathlib.Path, findings: list[Finding]) -> None:
                        "through JobRecord::transition_locked so the "
                        "flight-recorder journal observes the edge "
                        "(src/serve/job.h)")
+
+    # -- fnv-literal -------------------------------------------------------
+    if rel != FNV_HOME:
+        for lineno, line in enumerate(clean_lines, 1):
+            if FNV_LITERAL_RE.search(line):
+                report(lineno, "fnv-literal",
+                       "FNV-1a constant outside common/fingerprint.h; hash "
+                       "through the fnv:: helpers there")
 
     # -- raw-sync ----------------------------------------------------------
     if rel != RAW_SYNC_HOME:
